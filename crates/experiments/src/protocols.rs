@@ -1,4 +1,4 @@
-//! **Extension X7** — applications under membership schedules, cross-engine.
+//! **Extension X9** — applications under membership schedules, cross-engine.
 //!
 //! The `apps` experiment measures sampling quality on a *static* overlay;
 //! this one puts the same two consumers — epidemic broadcast and push-pull

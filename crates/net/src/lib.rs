@@ -8,9 +8,9 @@
 //! * [`Transport`] — a minimal framed-datagram abstraction: send a frame to
 //!   a [`NetAddr`], poll received frames, optionally advance
 //!   transport-virtual time.
-//! * [`UdpTransport`] — one UDP socket per runtime, many virtual nodes
-//!   multiplexed by node id, with a background receive thread feeding a
-//!   buffer-recycling queue.
+//! * [`UdpTransport`] — one non-blocking UDP socket per runtime, many
+//!   virtual nodes multiplexed by node id, drained by the runtime thread
+//!   itself.
 //! * [`MemTransport`] / [`MemNetwork`] — a deterministic, seeded in-memory
 //!   mesh with per-message latency and loss mirroring the event engine's
 //!   [`pss_sim::EventConfig`] semantics, so runtime behavior can be pinned

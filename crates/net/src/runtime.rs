@@ -14,9 +14,8 @@
 //! buffers recycled through the runtime's own [`pss_core::Arena`]; the
 //! node's absorb path consumes the buffer through the fused
 //! `merge_select_from_slice` and recycles it back to the arena. One
-//! reusable receive buffer (swapped, not copied, against the transport's
-//! receive ring), one reusable encode buffer, one decode scratch table —
-//! nothing per-frame.
+//! reusable receive buffer (the transport copies each frame into it), one
+//! reusable encode buffer, one decode scratch table — nothing per-frame.
 //!
 //! # Addresses
 //!
@@ -181,10 +180,10 @@ pub struct RuntimeStats {
     /// would silently corrupt its eviction order
     /// ([`NetRuntime::set_freshness`]).
     pub v1_ages_rejected: u64,
-    /// Receive-ring refills that had to allocate because the transport's
-    /// spent ring was dry ([`crate::transport::Transport::recv_ring_empty`]).
-    /// Zero in steady state on ring-backed transports; growth means the
-    /// ring depth is too small for the frame rate.
+    /// Receive-path buffer allocations. Always 0: no transport's receive
+    /// path allocates per frame (the UDP transport reads into one buffer
+    /// allocated at bind time). Kept so existing readers of the field
+    /// still build.
     pub recv_ring_empty: u64,
     /// App frames that informed a previously-uninformed live node
     /// ([`NetRuntime::enable_broadcast`]).
@@ -275,8 +274,6 @@ struct NetTele {
     decode_app_ns: pss_telemetry::Histogram,
     /// Header- or body-level decode rejections.
     decode_errors: pss_telemetry::Counter,
-    /// High-water mark of the transport's dry-ring refill counter.
-    ring_dry: pss_telemetry::Gauge,
 }
 
 impl NetTele {
@@ -302,10 +299,6 @@ impl NetTele {
             decode_errors: reg.counter(
                 "pss_net_decode_errors_total",
                 "Frames rejected at the header or descriptor level",
-            ),
-            ring_dry: reg.gauge(
-                "pss_net_recv_ring_empty",
-                "Receive-ring refills that had to allocate because the spent ring was dry",
             ),
         }
     }
@@ -626,7 +619,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             replies_in: self.replies_in,
             exchanges_completed: self.exchanges_completed,
             v1_ages_rejected: self.v1_ages_rejected,
-            recv_ring_empty: self.transport.recv_ring_empty(),
             app_delivered: self.app_delivered,
             app_redundant: self.app_redundant,
             app_wasted: self.app_wasted,
@@ -655,7 +647,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             self.fire_timers(t);
             self.now = t;
         }
-        self.tele.ring_dry.set_max(self.transport.recv_ring_empty());
     }
 
     /// One full gossip period from the current time.

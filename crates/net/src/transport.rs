@@ -32,12 +32,4 @@ pub trait Transport {
     fn advance_to(&mut self, now: u64) {
         let _ = now;
     }
-
-    /// Times the receive path had to allocate because its recycled-buffer
-    /// ring was dry (see [`crate::UdpTransport`]'s receive ring). Zero for
-    /// transports without a buffer ring; surfaced as
-    /// [`crate::RuntimeStats::recv_ring_empty`].
-    fn recv_ring_empty(&self) -> u64 {
-        0
-    }
 }

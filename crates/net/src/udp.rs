@@ -1,136 +1,64 @@
 //! The UDP transport: one socket per runtime, many virtual nodes.
 //!
-//! A [`UdpTransport`] owns one `std::net::UdpSocket` plus a background
-//! receive thread. The thread blocks on the socket (with a short timeout so
-//! shutdown is prompt) and parks each datagram — one wire frame, see
-//! [`pss_core::wire`] — in the **receive ring**: a pair of deques of owned,
-//! prewarmed buffers shared with the runtime thread.
-//!
-//! # The receive ring
-//!
-//! `frames` holds filled buffers travelling thread → runtime; `spent` holds
-//! empty ones travelling back. [`Transport::try_recv`] hands a frame over
-//! by **pointer swap** (`mem::swap` with the caller's reusable buffer — no
-//! byte copy), and the caller's previous buffer drops into `spent` for the
-//! receive thread to fill next. The ring is prewarmed to its configured
-//! depth at bind time, so in steady state the datagram path allocates
-//! nothing: every buffer in circulation was created before the first
-//! frame. If the runtime falls behind and the receive thread finds `spent`
-//! dry, it allocates a fresh buffer and counts a **ring-empty event**
-//! ([`UdpTransport::ring_empty_events`], surfaced as
-//! [`crate::RuntimeStats::recv_ring_empty`]) — the signal to raise the
-//! depth. Earlier revisions recycled over `mpsc` channels, which silently
-//! fell back to a fresh 8 KB allocation per frame whenever the return
-//! channel raced the receive thread, and copied every frame once more on
-//! the runtime side.
+//! A [`UdpTransport`] owns one non-blocking `std::net::UdpSocket`, which
+//! the runtime thread drains itself between timer ticks: each
+//! [`Transport::try_recv`] is one `recv_from` into a single receive buffer
+//! of the codec's maximum frame length, allocated once at bind time, and
+//! copies the received bytes into the caller's reusable buffer. Frames that
+//! arrive between drains wait in the kernel's socket buffer (`SO_RCVBUF`,
+//! about 200 KB by default on Linux — a burst of some ninety typical 1 KB
+//! frames), so there is no receive thread, no queue and no lock, and the
+//! datagram path allocates nothing once the caller's buffer has grown to
+//! the largest frame seen.
 //!
 //! Virtual-node multiplexing happens one layer up: frames carry their own
 //! destination node id, the runtime routes them. The transport never looks
 //! inside a frame.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use pss_core::wire::NetAddr;
 
 use crate::transport::Transport;
 
-/// Largest datagram the receive loop accepts: the codec's own frame bound,
-/// so every frame `wire::encode` can legally produce fits (~32 KB at
-/// `MAX_DESCRIPTORS`; typical frames are ~1 KB at the paper's c = 30).
-/// Larger datagrams are truncated by the OS and then rejected by the
-/// codec's length check, which the runtime counts as a decode failure.
+/// Size of the receive buffer: the codec's own frame bound, so every frame
+/// `wire::encode` can legally produce fits (~32 KB at `MAX_DESCRIPTORS`;
+/// typical frames are ~1 KB at the paper's c = 30). Larger datagrams are
+/// truncated by the OS and then rejected by the codec's length check,
+/// which the runtime counts as a decode failure.
 const RECV_BUFFER_LEN: usize = pss_core::wire::MAX_FRAME_LEN;
 
-/// Default receive-ring depth: buffers prewarmed at bind time and the cap
-/// on parked spent buffers. One runtime drains its transport every tick,
-/// so the ring only needs to cover the frames arriving within one tick.
-pub const DEFAULT_RING_DEPTH: usize = 16;
-
-/// The two directions of the receive ring plus its diagnostics; shared by
-/// the socket thread and the runtime thread.
-struct Ring {
-    /// Filled buffers: receive thread → runtime.
-    frames: Mutex<VecDeque<(SocketAddr, Vec<u8>)>>,
-    /// Empty buffers riding back: runtime → receive thread.
-    spent: Mutex<VecDeque<Vec<u8>>>,
-    /// Times the receive thread found `spent` dry and had to allocate.
-    ring_empty: AtomicU64,
-    /// Cap on parked spent buffers (= the prewarm depth).
-    depth: usize,
-}
-
-/// Ring locks are held for single push/pop operations only; recovering
-/// from poisoning keeps one panicking thread from wedging the other.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// Socket errors one [`Transport::try_recv`] call consumes before giving
+/// up until the next call. Each failed `recv_from` clears the error it
+/// reports (a signal, or an ICMP-induced error on platforms that surface
+/// one on unconnected sockets), so the bound is only a guarantee that a
+/// persistent error can never make the runtime thread spin.
+const MAX_RECV_ERRORS: usize = 8;
 
 /// See the [module docs](self).
 pub struct UdpTransport {
     socket: UdpSocket,
     local: SocketAddr,
-    ring: Arc<Ring>,
-    stop: Arc<AtomicBool>,
-    recv_thread: Option<JoinHandle<()>>,
+    /// The one datagram buffer `recv_from` writes into.
+    recv_buf: Box<[u8]>,
 }
 
 impl UdpTransport {
-    /// Binds a socket (`"127.0.0.1:0"` for an ephemeral loopback port) and
-    /// starts the receive thread, with the ring prewarmed to
-    /// [`DEFAULT_RING_DEPTH`] buffers.
+    /// Binds a non-blocking socket (`"127.0.0.1:0"` for an ephemeral
+    /// loopback port) and allocates the receive buffer.
     ///
     /// # Errors
     ///
     /// Any socket-level error from binding or configuring the socket.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::bind_with_ring_depth(addr, DEFAULT_RING_DEPTH)
-    }
-
-    /// [`UdpTransport::bind`] with an explicit ring depth: `depth` receive
-    /// buffers (of the maximum frame length each) are allocated up front,
-    /// and at most `depth` spent buffers are kept parked. A depth of zero
-    /// disables pooling entirely (every frame allocates — only useful to
-    /// measure the ring's effect).
-    ///
-    /// # Errors
-    ///
-    /// Any socket-level error from binding or configuring the socket.
-    pub fn bind_with_ring_depth(addr: impl ToSocketAddrs, depth: usize) -> io::Result<Self> {
         let socket = UdpSocket::bind(addr)?;
+        socket.set_nonblocking(true)?;
         let local = socket.local_addr()?;
-        let reader = socket.try_clone()?;
-        // A finite read timeout lets the receive thread notice `stop`
-        // without any platform-specific socket shutdown dance.
-        reader.set_read_timeout(Some(Duration::from_millis(25)))?;
-        let ring = Arc::new(Ring {
-            frames: Mutex::new(VecDeque::with_capacity(depth)),
-            // Prewarm: every steady-state buffer exists before frame one.
-            spent: Mutex::new(
-                (0..depth)
-                    .map(|_| Vec::with_capacity(RECV_BUFFER_LEN))
-                    .collect(),
-            ),
-            ring_empty: AtomicU64::new(0),
-            depth,
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_ring = Arc::clone(&ring);
-        let thread_stop = Arc::clone(&stop);
-        let recv_thread = std::thread::spawn(move || {
-            recv_loop(&reader, &thread_ring, &thread_stop);
-        });
         Ok(UdpTransport {
             socket,
             local,
-            ring,
-            stop,
-            recv_thread: Some(recv_thread),
+            recv_buf: vec![0; RECV_BUFFER_LEN].into_boxed_slice(),
         })
     }
 
@@ -142,58 +70,6 @@ impl UdpTransport {
     /// The bound address as a [`NetAddr`] (what peers put in frames).
     pub fn net_addr(&self) -> NetAddr {
         NetAddr::Sock(self.local)
-    }
-
-    /// Times the receive thread found the spent ring dry and allocated a
-    /// fresh buffer. Zero in steady state; a growing count means the ring
-    /// depth is too small for the frame rate.
-    pub fn ring_empty_events(&self) -> u64 {
-        self.ring.ring_empty.load(Ordering::Relaxed)
-    }
-
-    /// Spent buffers currently parked in the ring (diagnostic).
-    pub fn pooled_buffers(&self) -> usize {
-        lock(&self.ring.spent).len()
-    }
-}
-
-fn recv_loop(socket: &UdpSocket, ring: &Ring, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
-        // Reuse a spent buffer; falling back to a fresh allocation is the
-        // ring-empty event the stats surface.
-        let mut buf = match lock(&ring.spent).pop_front() {
-            Some(buf) => buf,
-            None => {
-                ring.ring_empty.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(RECV_BUFFER_LEN)
-            }
-        };
-        buf.resize(RECV_BUFFER_LEN, 0);
-        match socket.recv_from(&mut buf) {
-            Ok((n, from)) => {
-                buf.truncate(n);
-                lock(&ring.frames).push_back((from, buf));
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle wakeup: park the buffer again rather than dropping
-                // its capacity.
-                park_spent(ring, buf);
-            }
-            // Transient ICMP-induced errors (e.g. a peer's port closed)
-            // surface here on some platforms; keep receiving.
-            Err(_) => park_spent(ring, buf),
-        }
-    }
-}
-
-/// Returns a buffer to the spent ring, dropping it if the ring is full
-/// (the depth bounds idle memory).
-fn park_spent(ring: &Ring, buffer: Vec<u8>) {
-    let mut spent = lock(&ring.spent);
-    if spent.len() < ring.depth {
-        spent.push_back(buffer);
     }
 }
 
@@ -212,111 +88,100 @@ impl Transport for UdpTransport {
     }
 
     fn try_recv(&mut self, buf: &mut Vec<u8>) -> Option<NetAddr> {
-        let (from, mut bytes) = lock(&self.ring.frames).pop_front()?;
-        // Zero-copy handoff: the caller takes ownership of the filled
-        // buffer by pointer swap, and the caller's previous buffer rides
-        // back to the receive thread as ring capacity.
-        core::mem::swap(buf, &mut bytes);
-        park_spent(&self.ring, bytes);
-        Some(NetAddr::Sock(from))
-    }
-
-    fn recv_ring_empty(&self) -> u64 {
-        self.ring_empty_events()
-    }
-}
-
-impl Drop for UdpTransport {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.recv_thread.take() {
-            let _ = handle.join();
+        for _ in 0..MAX_RECV_ERRORS {
+            match self.socket.recv_from(&mut self.recv_buf) {
+                Ok((n, from)) => {
+                    buf.clear();
+                    buf.extend_from_slice(&self.recv_buf[..n]);
+                    return Some(NetAddr::Sock(from));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
+                // Interrupted by a signal, or a transient error such as a
+                // peer's closed port reported back by ICMP: the error is
+                // consumed, so try again.
+                Err(_) => {}
+            }
         }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn loopback_roundtrip_and_recycling() {
         let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
         let mut b = UdpTransport::bind("127.0.0.1:0").expect("bind b");
-        assert!(a.send(b.net_addr(), b"frame-1"));
-        assert!(a.send(b.net_addr(), b"frame-2"));
+        let mut buf = Vec::with_capacity(64);
+        let storage = buf.as_ptr();
+        for i in 0..10u8 {
+            assert!(a.send(b.net_addr(), &[i; 7]));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let from = loop {
+                if let Some(from) = b.try_recv(&mut buf) {
+                    break from;
+                }
+                assert!(Instant::now() < deadline, "frame {i} never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            assert_eq!(from, a.net_addr());
+            assert_eq!(buf, [i; 7]);
+        }
+        // Every frame was copied into the caller's buffer in place.
+        assert_eq!(buf.as_ptr(), storage);
+    }
+
+    #[test]
+    fn idle_try_recv_returns_none_at_once() {
+        let mut t = UdpTransport::bind("127.0.0.1:0").expect("bind");
+        let mut buf = vec![7u8; 3];
+        // Non-blocking: the fastest of a few polls is far below any read
+        // timeout the socket could have (the minimum shrugs off a poll the
+        // scheduler happened to preempt).
+        let fastest = (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                assert_eq!(t.try_recv(&mut buf), None);
+                started.elapsed()
+            })
+            .min()
+            .expect("five polls");
+        assert!(fastest < Duration::from_millis(20), "{fastest:?}");
+        assert_eq!(buf, [7u8; 3], "an empty poll leaves the buffer alone");
+    }
+
+    #[test]
+    fn burst_sent_before_the_first_drain_arrives_in_full() {
+        // Nothing drains while the burst is sent: the kernel's socket
+        // buffer alone must hold it.
+        const BURST: u8 = 64;
+        let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind("127.0.0.1:0").expect("bind b");
+        for i in 0..BURST {
+            assert!(a.send(b.net_addr(), &[i; 1000]));
+        }
         let mut buf = Vec::new();
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.len() < 2 && std::time::Instant::now() < deadline {
+        let mut firsts = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while firsts.len() < usize::from(BURST) && Instant::now() < deadline {
             match b.try_recv(&mut buf) {
-                Some(from) => {
-                    assert_eq!(from, a.net_addr());
-                    got.push(buf.clone());
+                Some(_) => {
+                    assert_eq!(buf.len(), 1000);
+                    firsts.push(buf[0]);
                 }
                 None => std::thread::sleep(Duration::from_millis(1)),
             }
         }
-        got.sort();
-        assert_eq!(got, vec![b"frame-1".to_vec(), b"frame-2".to_vec()]);
-        // The prewarmed ring absorbed both frames without allocating.
-        assert_eq!(b.ring_empty_events(), 0);
-    }
-
-    #[test]
-    fn ring_is_prewarmed_to_the_configured_depth() {
-        let t = UdpTransport::bind_with_ring_depth("127.0.0.1:0", 4).expect("bind");
-        // The receive thread holds at most one buffer while blocked in
-        // recv_from; the rest stay parked.
-        assert!(t.pooled_buffers() >= 3, "{}", t.pooled_buffers());
-        assert_eq!(t.ring_empty_events(), 0);
-    }
-
-    #[test]
-    fn zero_depth_ring_counts_every_allocation() {
-        let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
-        let mut b = UdpTransport::bind_with_ring_depth("127.0.0.1:0", 0).expect("bind b");
-        assert_eq!(b.pooled_buffers(), 0);
-        assert!(a.send(b.net_addr(), b"x"));
-        let mut buf = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while b.try_recv(&mut buf).is_none() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(buf, b"x");
-        // With no prewarmed buffers, the very first receive had to allocate.
-        assert!(b.ring_empty_events() >= 1);
-    }
-
-    #[test]
-    fn swapped_out_caller_buffers_flow_back_to_the_ring() {
-        let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
-        let mut b = UdpTransport::bind_with_ring_depth("127.0.0.1:0", 2).expect("bind b");
-        let mut buf = Vec::new();
-        for i in 0..10u8 {
-            assert!(a.send(b.net_addr(), &[i; 3]));
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while b.try_recv(&mut buf).is_none() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            assert_eq!(buf, [i; 3]);
-        }
-        // Capacity kept circulating: at most the one cold-start allocation
-        // (the caller's initial zero-capacity buffer entering the ring).
-        assert!(b.ring_empty_events() <= 1, "{}", b.ring_empty_events());
+        firsts.sort_unstable();
+        assert_eq!(firsts, (0..BURST).collect::<Vec<_>>());
     }
 
     #[test]
     fn virtual_addresses_are_unroutable() {
         let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind");
         assert!(!a.send(NetAddr::Virtual(3), b"x"));
-    }
-
-    #[test]
-    fn drop_joins_the_receive_thread() {
-        let t = UdpTransport::bind("127.0.0.1:0").expect("bind");
-        let started = std::time::Instant::now();
-        drop(t);
-        assert!(started.elapsed() < Duration::from_secs(2));
     }
 }

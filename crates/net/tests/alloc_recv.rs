@@ -1,13 +1,10 @@
-//! Allocation accounting for the UDP receive ring.
+//! Allocation accounting for the UDP receive path.
 //!
-//! The transport's receive path circulates owned, prewarmed buffers
-//! between the socket thread and the runtime thread (`try_recv` hands a
-//! frame over by pointer swap; the caller's previous buffer rides back as
-//! ring capacity). In steady state the datagram path must therefore touch
-//! the allocator only incidentally, never once per frame — the regression
-//! this test pins is the old recycling channel's silent fall-back to a
-//! fresh maximum-length allocation whenever the return path raced the
-//! receive thread.
+//! `UdpTransport::try_recv` reads each datagram into one buffer the
+//! transport allocated at bind time and copies it into the caller's
+//! reusable buffer. Once that buffer has grown to the frame size, the
+//! datagram path must not touch the allocator at all — the regression this
+//! test pins is any per-frame buffer allocation creeping back in.
 //!
 //! Kept in its own integration-test binary because the `#[global_allocator]`
 //! is process-wide; the single `#[test]` keeps the measurement window free
@@ -65,8 +62,7 @@ fn steady_state_udp_receive_is_nearly_allocation_free() {
     let frame = [0xabu8; 900]; // a typical c = 30 frame size
     let mut buf = Vec::new();
 
-    // Warm up: the caller's buffer enters circulation, every ring buffer
-    // reaches full capacity, deque footprints stabilize.
+    // Warm up: the caller's buffer grows to the frame size.
     for _ in 0..32 {
         roundtrip(&mut a, &mut b, &mut buf, &frame);
     }
@@ -78,17 +74,10 @@ fn steady_state_udp_receive_is_nearly_allocation_free() {
     }
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    // Without the ring every received frame allocates its buffer; with it
-    // the window should be close to allocation-free. The bound leaves
-    // slack for incidental runtime allocations while staying far below
-    // one per frame.
+    // The bound leaves slack for an incidental allocation elsewhere in the
+    // process (the test harness), not for one per frame.
     assert!(
-        during < FRAMES / 4,
-        "{during} allocations for {FRAMES} frames — receive-ring pooling regressed"
-    );
-    assert_eq!(
-        b.ring_empty_events(),
-        0,
-        "prewarmed ring ran dry during a paced run"
+        during <= 2,
+        "{during} allocations for {FRAMES} frames — the receive path allocates"
     );
 }
