@@ -179,6 +179,31 @@ mod tests {
         assert_eq!(firsts, (0..BURST).collect::<Vec<_>>());
     }
 
+    /// The caller's buffer is never swapped out for one of the transport's:
+    /// frames are copied into it, so a caller starting from an empty `Vec`
+    /// pays one cold-start allocation and then keeps its storage.
+    #[test]
+    fn swapped_out_caller_buffers_flow_back_to_the_ring() {
+        let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
+        let mut b = UdpTransport::bind("127.0.0.1:0").expect("bind b");
+        let mut buf = Vec::new();
+        let mut storages = Vec::new();
+        for i in 0..10u8 {
+            assert!(a.send(b.net_addr(), &[i; 3]));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while b.try_recv(&mut buf).is_none() {
+                assert!(Instant::now() < deadline, "frame {i} never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(buf, [i; 3]);
+            if storages.last() != Some(&buf.as_ptr()) {
+                storages.push(buf.as_ptr());
+            }
+        }
+        // At most the one cold-start allocation of the empty buffer.
+        assert_eq!(storages.len(), 1, "caller storage changed: {storages:?}");
+    }
+
     #[test]
     fn virtual_addresses_are_unroutable() {
         let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind");
