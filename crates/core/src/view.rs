@@ -39,7 +39,7 @@ use crate::{NodeDescriptor, NodeId, ViewSelection};
 /// hot path ([`View::merge_select_from_slice`]) absorbs a received
 /// descriptor buffer with a single sort-free pass, no steady-state
 /// allocation, and no virtual calls. The original quadratic algorithms are
-/// retained verbatim in [`reference`] and property tests assert
+/// retained verbatim in [`reference`](mod@reference) and property tests assert
 /// byte-identical behavior.
 ///
 /// # Examples

@@ -10,7 +10,10 @@
 //!   transport-virtual time.
 //! * [`UdpTransport`] — one non-blocking UDP socket per runtime, many
 //!   virtual nodes multiplexed by node id, drained by the runtime thread
-//!   itself.
+//!   itself. Frames between two nodes of the same runtime are addressed to
+//!   the socket's own address and skip the socket: they wait on an
+//!   in-process FIFO bounded like Linux's default `SO_RCVBUF` (212,992
+//!   bytes), so they cost no syscalls yet overflow where the kernel would.
 //! * [`MemTransport`] / [`MemNetwork`] — a deterministic, seeded in-memory
 //!   mesh with per-message latency and loss mirroring the event engine's
 //!   [`pss_sim::EventConfig`] semantics, so runtime behavior can be pinned

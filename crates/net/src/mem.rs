@@ -72,7 +72,10 @@ struct Inner {
     unroutable: u64,
 }
 
-/// The shared mesh; clone-cheap handle. See the [module docs](self).
+/// The shared mesh; clone-cheap handle. Every frame pays a latency and a
+/// loss draw from the mesh's seeded RNG and is delivered in
+/// `(deliver-at, send-sequence)` order, so a single-threaded driver gets
+/// bit-reproducible runs.
 #[derive(Clone)]
 pub struct MemNetwork {
     inner: Arc<Mutex<Inner>>,

@@ -326,7 +326,8 @@ struct Slot<N> {
     informed: bool,
 }
 
-/// See the [module docs](self) and the [crate example](crate).
+/// Many gossip nodes on one OS thread over one transport endpoint. See the
+/// [crate docs](crate) for the runtime model and an example.
 pub struct NetRuntime<T: Transport, N: GossipNode = pss_core::PeerSamplingNode> {
     transport: T,
     config: NetConfig,
@@ -714,6 +715,17 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
             }
             return;
         }
+        // Only the reply this node is actually waiting for is absorbed:
+        // anything else — forged, unsolicited, or arriving after
+        // timeout/supersession — is dropped before its descriptors are
+        // read, so a blind-fired reply frame can neither inject view
+        // content nor teach the address book.
+        if frame.kind == FrameKind::Reply
+            && slot.pending_reply.is_none_or(|(peer, _)| peer != frame.src)
+        {
+            self.forged_replies_rejected += 1;
+            return;
+        }
         let mut payload = self.arena.take_buffer();
         let book = &mut self.book;
         let decoded = if frame.kind == FrameKind::App {
@@ -764,16 +776,6 @@ impl<T: Transport, N: GossipNode> NetRuntime<T, N> {
                 }
             }
             FrameKind::Reply => {
-                // Only the reply this node is actually waiting for is
-                // absorbed: anything else — forged, unsolicited, or
-                // arriving after timeout/supersession — is dropped, so an
-                // attacker cannot inject view content by blind-firing
-                // reply frames.
-                if slot.pending_reply.is_none_or(|(peer, _)| peer != frame.src) {
-                    self.forged_replies_rejected += 1;
-                    self.arena.put_buffer(payload);
-                    return;
-                }
                 slot.counters.msgs_in += 1;
                 self.replies_in += 1;
                 if let Some((_, sent)) = slot.pending_reply {

@@ -97,11 +97,15 @@ fn unsolicited_reply_is_rejected_and_counted() {
     let node = PeerSamplingNode::with_seed(NodeId::new(1), protocol(8), 5);
     rt.add_node(node, &[(NodeId::new(2), attacker_addr)]);
 
+    let decoy_addr = net.endpoint().net_addr();
+
     // Node 1 has no pending exchange with id 99; fire a forged reply
-    // carrying colluder descriptors.
+    // carrying colluder descriptors, plus one that tries to move the
+    // established introducer, id 2, to a decoy address.
     let colluders = [
         NodeDescriptor::fresh(NodeId::new(99)),
         NodeDescriptor::fresh(NodeId::new(98)),
+        NodeDescriptor::fresh(NodeId::new(2)),
     ];
     let mut buf = Vec::new();
     wire::encode(
@@ -112,7 +116,10 @@ fn unsolicited_reply_is_rejected_and_counted() {
         NodeId::new(1),
         attacker_addr,
         &colluders,
-        |_| Some(attacker_addr),
+        |id| match id.as_u64() {
+            2 => Some(decoy_addr),
+            _ => Some(attacker_addr),
+        },
     )
     .unwrap();
     assert!(attacker.send(honest_addr, &buf));
@@ -126,6 +133,11 @@ fn unsolicited_reply_is_rejected_and_counted() {
         !view.contains(NodeId::new(99)) && !view.contains(NodeId::new(98)),
         "forged reply content reached the view"
     );
+    // A rejected reply teaches the address book nothing: an id only its
+    // body carries stays unknown (id 99 is the header src, which a header
+    // may introduce), and an established entry keeps its address.
+    assert_eq!(rt.address_of(NodeId::new(98)), None);
+    assert_eq!(rt.address_of(NodeId::new(2)), Some(attacker_addr));
 }
 
 /// The headline Byzantine result on the deployed stack: a 128-node

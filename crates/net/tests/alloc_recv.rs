@@ -4,7 +4,9 @@
 //! transport allocated at bind time and copies it into the caller's
 //! reusable buffer. Once that buffer has grown to the frame size, the
 //! datagram path must not touch the allocator at all — the regression this
-//! test pins is any per-frame buffer allocation creeping back in.
+//! test pins is any per-frame buffer allocation creeping back in. A
+//! self-addressed frame skips the socket for an in-process FIFO whose
+//! frame buffers are recycled, so that path is held to the same bound.
 //!
 //! Kept in its own integration-test binary because the `#[global_allocator]`
 //! is process-wide; the single `#[test]` keeps the measurement window free
@@ -55,6 +57,13 @@ fn roundtrip(a: &mut UdpTransport, b: &mut UdpTransport, buf: &mut Vec<u8>, fram
     }
 }
 
+/// Sends one frame from `a` to itself and takes it straight back.
+fn self_roundtrip(a: &mut UdpTransport, buf: &mut Vec<u8>, frame: &[u8]) {
+    assert!(a.send(a.local_addr(), frame));
+    assert_eq!(a.try_recv(buf), Some(a.local_addr()));
+    assert_eq!(buf, frame);
+}
+
 #[test]
 fn steady_state_udp_receive_is_nearly_allocation_free() {
     let mut a = UdpTransport::bind("127.0.0.1:0").expect("bind a");
@@ -79,5 +88,20 @@ fn steady_state_udp_receive_is_nearly_allocation_free() {
     assert!(
         during <= 2,
         "{during} allocations for {FRAMES} frames — the receive path allocates"
+    );
+
+    // Self-addressed: the FIFO's first frame buffer is allocated during the
+    // warm-up and then recycled for every later frame.
+    for _ in 0..32 {
+        self_roundtrip(&mut a, &mut buf, &frame);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..FRAMES {
+        self_roundtrip(&mut a, &mut buf, &frame);
+    }
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(
+        during <= 2,
+        "{during} allocations for {FRAMES} self-addressed frames — the FIFO allocates"
     );
 }

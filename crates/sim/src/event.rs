@@ -410,7 +410,7 @@ struct EventCtx<'a> {
 }
 
 /// The sharded discrete-event simulator over the same node population
-/// types as [`crate::ShardedSimulation`]. See the [module docs](self) for
+/// types as [`crate::ShardedSimulation`]. See the [crate docs](crate) for
 /// the lookahead model and determinism contract.
 ///
 /// # Examples

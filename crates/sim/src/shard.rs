@@ -169,7 +169,7 @@ impl CycleCtx<'_> {
     }
 }
 
-/// The sharded cycle-driven simulator. See the [module docs](self) for the
+/// The sharded cycle-driven simulator. See the [crate docs](crate) for the
 /// execution model and determinism contract; see [`crate::Simulation`] for
 /// the sequential (1-shard) wrapper that keeps the historical API.
 pub struct ShardedSimulation<N: GossipNode + Send = BoxedNode> {
